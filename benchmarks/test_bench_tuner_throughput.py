@@ -50,7 +50,7 @@ import time
 import repro.workloads  # noqa: F401 — registers the tuning templates
 from repro.autotune import LocalBuilder, MeasureInput, SimulatorRunner, create_task
 from repro.codegen.target import Target
-from repro.sim import BatchSimulator, TraceOptions
+from repro.sim import BatchSimulator, RuntimeConfig, TraceOptions
 from repro.utils.tabulate import format_table
 
 from benchmarks.conftest import write_result
@@ -126,9 +126,9 @@ def test_bench_tuner_throughput(results_dir):
     t_serial_unique = _best_of(lambda: run_runner(False, unique_inputs, unique_builds))
     t_batched_unique = _best_of(lambda: run_runner(True, unique_inputs, unique_builds))
     t_engine = _best_of(
-        lambda: BatchSimulator(ARCH, trace_options=trace, memoize=False).run_batch(
-            programs
-        )
+        lambda: BatchSimulator(
+            ARCH, trace_options=trace, config=RuntimeConfig(memoize=False)
+        ).run_batch(programs)
     )
 
     n, u = len(ga_inputs), len(unique_inputs)

@@ -402,32 +402,41 @@ class DescriptorChunk:
     def truncate(self, keep: int) -> "DescriptorChunk":
         """The chunk's first ``keep`` accesses, still in descriptor form.
 
-        The ``keep``-th smallest member position bounds the surviving
-        accesses, so each run batch is clipped analytically instead of
-        expanding the chunk.  Grid batches stay grids: the cutoff splits the
-        outermost level into fully-kept slabs (a smaller grid) plus at most
-        one partially-kept slab, which recurses one level down — so a trace
-        truncated mid-grid keeps its compression.
+        The cutoff is the smallest position ``c`` with ``keep`` members below
+        it, one past the ``keep``-th smallest member position.  Each batch's
+        slab structure is built once (:class:`_BatchPositions`), so counting
+        the members below a probe costs integer arithmetic per grid level plus
+        at most one NumPy reduction per batch, and the chunk is never
+        expanded.  Member positions are close to uniform, so the search
+        interpolates on the bracket's counts; every other probe bisects,
+        which caps the worst case at twice the probes of a plain bisection.
+        Each run batch is then clipped analytically.  Grid batches stay
+        grids: the cutoff splits the outermost level into fully-kept slabs (a
+        smaller grid) plus at most one partially-kept slab, which recurses one
+        level down — so a trace truncated mid-grid keeps its compression.
         """
         if keep >= self.total:
             return self
-        # Binary-search the cutoff (one past the ``keep``-th smallest member
-        # position) on the analytic member count — positions are unique, so
-        # the count is a step function and the chunk is never expanded.
-        low, high = 0, max(int(self.pos_bound), 1)
+        plans = [_BatchPositions(batch) for batch in self.batches]
+        span = np.sort(self.positions) if self.positions is not None else np.empty(0)
+        low, low_count = 0, 0
+        high, high_count = max(int(self.pos_bound), 1), self.total
+        interpolate = True
         while low + 1 < high:
-            mid = (low + high) // 2
-            counted = sum(_count_below(batch, mid) for batch in self.batches)
-            if self.positions is not None and self.positions.size:
-                counted += int(np.count_nonzero(self.positions < mid))
-            if counted >= keep:
-                high = mid
+            if interpolate:
+                mid = low + (keep - low_count) * (high - low) // (high_count - low_count)
+                mid = min(max(mid, low + 1), high - 1)
             else:
-                low = mid
+                mid = (low + high) // 2
+            interpolate = not interpolate
+            counted = int(np.searchsorted(span, mid))
+            counted += sum(plan.count_below(mid) for plan in plans)
+            if counted >= keep:
+                high, high_count = mid, counted
+            else:
+                low, low_count = mid, counted
         cutoff = high
-        batches = []
-        for batch in self.batches:
-            batches.extend(_clip_batch(batch, cutoff))
+        batches = [clipped for plan in plans for clipped in plan.clip(cutoff)]
         addresses = writes = span_positions = None
         if self.positions is not None and self.positions.size:
             alive = self.positions < cutoff
@@ -469,20 +478,6 @@ def _clip_runs(batch: AccessRunBatch, cutoff: int) -> Optional[AccessRunBatch]:
     )
 
 
-def _outer_slab_span(batch: AccessRunBatch) -> Tuple[int, int]:
-    """Position range ``[lo, hi]`` of a grid batch's first outer-level slab."""
-    first_pos = batch.run_first_pos()
-    slab_lo = int(first_pos.min())
-    slab_hi = int((first_pos + (batch.run_counts() - 1) * batch.pos_stride).max())
-    for count, pos_stride in zip(
-        batch.grid_counts[1:].tolist(), batch.grid_pos_strides[1:].tolist()
-    ):
-        step = (count - 1) * pos_stride
-        slab_lo += min(0, step)
-        slab_hi += max(0, step)
-    return slab_lo, slab_hi
-
-
 def _drop_outer_level(batch: AccessRunBatch, slabs: int) -> AccessRunBatch:
     """The sub-batch at outer-level index ``slabs``, one grid level down."""
     partial = AccessRunBatch(
@@ -501,75 +496,103 @@ def _drop_outer_level(batch: AccessRunBatch, slabs: int) -> AccessRunBatch:
     return partial
 
 
-def _count_below(batch: AccessRunBatch, cutoff: int) -> int:
-    """Number of the batch's members at trace positions below ``cutoff``.
+class _BatchPositions:
+    """A batch's slab structure, built once per truncation.
 
-    Grid batches are counted slab-analytically (mirroring
-    :func:`_clip_batch`), so the cost is per stored run and level, not per
-    member.
+    The emitter's grid levels tile disjoint, ascending position ranges, so a
+    cutoff splits the outermost level into fully-kept slabs plus at most one
+    partial slab, which recurses one level down; only the innermost,
+    run-level remainder is cut per run.  ``levels`` holds each level the
+    cutoff can split as ``(count, pos_stride, slab_lo, slab_hi, per_slab)``
+    relative to its first slab.  Hand-built grids whose slabs overlap in
+    position space end the levels there: the degridded remainder is then
+    counted and clipped per run, which is always exact.  A count is integer
+    arithmetic per level plus at most one NumPy reduction.
     """
-    if batch.grid_counts is not None:
-        slab_lo, slab_hi = _outer_slab_span(batch)
-        outer_count = int(batch.grid_counts[0])
-        outer_pos = int(batch.grid_pos_strides[0])
-        if outer_pos <= slab_hi - slab_lo:
-            return _count_below(batch.degrid(), cutoff)
-        full = min(max((cutoff - 1 - slab_hi) // outer_pos + 1, 0), outer_count)
-        counted = full * (batch.total // outer_count)
-        if full < outer_count and slab_lo + full * outer_pos < cutoff:
-            counted += _count_below(_drop_outer_level(batch, full), cutoff)
-        return counted
-    first_pos = batch.run_first_pos()
-    counts = np.clip(-((first_pos - cutoff) // batch.pos_stride), 0, batch.run_counts())
-    return int(counts.sum())
 
+    __slots__ = ("batch", "levels", "first_pos", "counts", "lo", "hi", "inner")
 
-def _clip_batch(batch: AccessRunBatch, cutoff: int) -> List[AccessRunBatch]:
-    """Clip any batch to member positions below ``cutoff``, keeping grids.
+    def __init__(self, batch: AccessRunBatch) -> None:
+        self.batch = batch
+        first_pos, counts = batch.run_first_pos(), batch.run_counts()
+        lo = int(first_pos.min())
+        hi = int((first_pos + (counts - 1) * batch.pos_stride).max())
+        grid: List[Tuple[int, int]] = []
+        if batch.grid_counts is not None:
+            grid = list(zip(batch.grid_counts.tolist(), batch.grid_pos_strides.tolist()))
+        # spans[l]: position span of grid levels l.. over the stored runs;
+        # spans[-1] is the stored runs' own span.
+        spans = [(lo, hi)]
+        for count, pos_stride in reversed(grid):
+            lo += min(0, (count - 1) * pos_stride)
+            hi += max(0, (count - 1) * pos_stride)
+            spans.append((lo, hi))
+        spans.reverse()
+        self.levels: List[Tuple[int, int, int, int, int]] = []
+        per_slab = batch.total
+        for level, (count, pos_stride) in enumerate(grid):
+            lo, hi = spans[level + 1]
+            if pos_stride <= hi - lo:
+                lo, hi = spans[level]
+                for _ in range(level):
+                    batch = _drop_outer_level(batch, 0)
+                batch = batch.degrid()
+                first_pos, counts = batch.run_first_pos(), batch.run_counts()
+                break
+            per_slab //= count
+            self.levels.append((count, pos_stride, lo, hi, per_slab))
+        self.first_pos, self.counts = first_pos, counts
+        self.lo, self.hi, self.inner = lo, hi, per_slab
 
-    The emitter's grid levels tile disjoint, ascending position ranges, so
-    the outermost level splits into fully-kept slabs (the same grid with a
-    shorter outer count) plus at most one partial slab that recurses one
-    level down; only the innermost, run-level remainder is clipped per run.
-    Hand-built grids whose slabs overlap in position space fall back to
-    clipping the degridded runs, which is always exact.
-    """
-    if batch.grid_counts is None:
-        clipped = _clip_runs(batch, cutoff)
-        return [clipped] if clipped is not None else []
-    slab_lo, slab_hi = _outer_slab_span(batch)
-    outer_count = int(batch.grid_counts[0])
-    outer_pos = int(batch.grid_pos_strides[0])
-    if outer_pos <= slab_hi - slab_lo:
+    def count_below(self, cutoff: int) -> int:
+        """Number of the batch's members at trace positions below ``cutoff``."""
+        counted = 0
+        for count, pos_stride, slab_lo, slab_hi, per_slab in self.levels:
+            full = min(max((cutoff - 1 - slab_hi) // pos_stride + 1, 0), count)
+            counted += full * per_slab
+            cutoff -= full * pos_stride
+            if full == count or slab_lo >= cutoff:
+                return counted
+        if cutoff <= self.lo:
+            return counted
+        if cutoff > self.hi:
+            return counted + self.inner
+        below = -((self.first_pos - cutoff) // self.batch.pos_stride)
+        return counted + int(np.clip(below, 0, self.counts).sum())
+
+    def clip(self, cutoff: int) -> List[AccessRunBatch]:
+        """The batch clipped to member positions below ``cutoff``, keeping grids."""
+        batch, out, shift = self.batch, [], 0
+        for count, pos_stride, slab_lo, slab_hi, _ in self.levels:
+            full = min(max((cutoff - shift - 1 - slab_hi) // pos_stride + 1, 0), count)
+            if full > 0:
+                kept = AccessRunBatch(
+                    bases=batch.bases,
+                    stride=batch.stride,
+                    pos_stride=batch.pos_stride,
+                    is_write=batch.is_write,
+                    counts=batch.counts,
+                    first_pos=batch.first_pos,
+                    uniform_count=batch.uniform_count,
+                    first_pos_start=batch.first_pos_start,
+                    first_pos_step=batch.first_pos_step,
+                )
+                if full > 1:
+                    kept.grid_strides = batch.grid_strides.copy()
+                    kept.grid_counts = batch.grid_counts.copy()
+                    kept.grid_pos_strides = batch.grid_pos_strides.copy()
+                    kept.grid_counts[0] = full
+                elif batch.grid_counts.size > 1:
+                    kept.grid_strides = batch.grid_strides[1:]
+                    kept.grid_counts = batch.grid_counts[1:]
+                    kept.grid_pos_strides = batch.grid_pos_strides[1:]
+                out.append(kept)
+            shift += full * pos_stride
+            if full == count or slab_lo + shift >= cutoff:
+                return out
+            batch = _drop_outer_level(batch, full)
         clipped = _clip_runs(batch.degrid(), cutoff)
-        return [clipped] if clipped is not None else []
-    full = min(max((cutoff - 1 - slab_hi) // outer_pos + 1, 0), outer_count)
-    out: List[AccessRunBatch] = []
-    if full > 0:
-        kept = AccessRunBatch(
-            bases=batch.bases,
-            stride=batch.stride,
-            pos_stride=batch.pos_stride,
-            is_write=batch.is_write,
-            counts=batch.counts,
-            first_pos=batch.first_pos,
-            uniform_count=batch.uniform_count,
-            first_pos_start=batch.first_pos_start,
-            first_pos_step=batch.first_pos_step,
-        )
-        if full > 1:
-            kept.grid_strides = batch.grid_strides.copy()
-            kept.grid_counts = batch.grid_counts.copy()
-            kept.grid_pos_strides = batch.grid_pos_strides.copy()
-            kept.grid_counts[0] = full
-        elif batch.grid_counts.size > 1:
-            kept.grid_strides = batch.grid_strides[1:]
-            kept.grid_counts = batch.grid_counts[1:]
-            kept.grid_pos_strides = batch.grid_pos_strides[1:]
-        out.append(kept)
-    if full < outer_count and slab_lo + full * outer_pos < cutoff:
-        out.extend(_clip_batch(_drop_outer_level(batch, full), cutoff))
-    return out
+        return out + [clipped] if clipped is not None else out
 
 
 # ---------------------------------------------------------------------------

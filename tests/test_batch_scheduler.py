@@ -31,12 +31,21 @@ from repro.codegen import Target
 from repro.codegen.program import pack_descriptor_arena
 from repro.reliability import Deadline, DeadlineExceeded, RetryPolicy, deadline_scope
 from repro.reliability import faults
-from repro.sim import BatchSimulator, Simulator, SimulatorPool, TraceOptions, _native
+from repro.sim import (
+    BatchSimulator,
+    RuntimeConfig,
+    Simulator,
+    SimulatorPool,
+    TraceOptions,
+    _native,
+)
 from repro.sim.memo import SimulationCache
 from repro.sim.simulator import SimulationFailure, SimulationResult
 from repro.sim.stats import SimulationStats
 
 TRACE = TraceOptions(max_accesses=15_000)
+#: Runtime config of the unmemoized simulators compared below.
+NO_MEMO = RuntimeConfig(memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -148,14 +157,14 @@ class TestBatchSimulatorEquivalence:
     @pytest.mark.parametrize("trace", ["descriptor", "expanded"])
     def test_bit_identical_across_engines_and_traces(self, programs, engine, trace):
         options = TraceOptions(max_accesses=TRACE.max_accesses, engine=engine, trace=trace)
-        serial = [Simulator("arm", trace_options=options, memoize=False).run(p) for p in programs]
-        batched = BatchSimulator("arm", trace_options=options, memoize=False).run_batch(programs)
+        serial = [Simulator("arm", trace_options=options, config=NO_MEMO).run(p) for p in programs]
+        batched = BatchSimulator("arm", trace_options=options, config=NO_MEMO).run_batch(programs)
         assert_bit_identical(batched, serial)
 
     def test_bit_identical_without_arena_batching(self, programs, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(programs)
+        serial = [Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in programs]
+        batched = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO).run_batch(programs)
         assert_bit_identical(batched, serial)
 
     def test_bit_identical_without_native_kernels(self, programs, monkeypatch):
@@ -163,9 +172,9 @@ class TestBatchSimulatorEquivalence:
         _native._reset_for_tests()
         try:
             serial = [
-                Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs
+                Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in programs
             ]
-            batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(
+            batched = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO).run_batch(
                 programs
             )
             assert_bit_identical(batched, serial)
@@ -175,12 +184,12 @@ class TestBatchSimulatorEquivalence:
 
     def test_duplicates_in_one_batch(self, programs):
         doubled = list(programs) + list(programs)
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in doubled]
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(doubled)
+        serial = [Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in doubled]
+        batched = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO).run_batch(doubled)
         assert_bit_identical(batched, serial)
 
     def test_iter_batch_streams_in_input_order(self, programs):
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO)
         names = [outcome.program_name for outcome in batch.iter_batch(programs)]
         assert names == [p.name for p in programs]
 
@@ -188,7 +197,10 @@ class TestBatchSimulatorEquivalence:
         # A private cache: the process-wide default memo may already hold
         # these programs from other test modules.
         batch = BatchSimulator(
-            "arm", trace_options=TRACE, memoize=True, memo_cache=SimulationCache()
+            "arm",
+            trace_options=TRACE,
+            memo_cache=SimulationCache(),
+            config=RuntimeConfig(memoize=True),
         )
         first = batch.run_batch(programs)
         second = batch.run_batch(programs)
@@ -200,15 +212,17 @@ class TestBatchSimulatorEquivalence:
         assert BatchSimulator("arm", trace_options=TRACE).run_batch([]) == []
 
     def test_sim_digest_is_stable_across_paths(self, programs):
-        serial = Simulator("arm", trace_options=TRACE, memoize=False).run(programs[0])
-        batched = BatchSimulator("arm", trace_options=TRACE, memoize=False).run_batch(
+        serial = Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(programs[0])
+        batched = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO).run_batch(
             [programs[0]]
         )[0]
-        memoized = Simulator("arm", trace_options=TRACE, memoize=True).run(programs[0])
+        memoized = Simulator(
+            "arm", trace_options=TRACE, config=RuntimeConfig(memoize=True)
+        ).run(programs[0])
         assert serial.sim_digest
         assert serial.sim_digest == batched.sim_digest == memoized.sim_digest
         other = Simulator(
-            "arm", trace_options=TraceOptions(max_accesses=7_000), memoize=False
+            "arm", trace_options=TraceOptions(max_accesses=7_000), config=NO_MEMO
         ).run(programs[0])
         assert other.sim_digest != serial.sim_digest
 
@@ -240,9 +254,12 @@ class _BrokenProgram:
 class TestBatchFailureIsolation:
     def test_error_is_isolated_and_mapped_identically(self, programs):
         mixed = [programs[0], _BrokenProgram(), programs[1]]
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO)
         outcomes = list(batch.iter_batch(mixed, retry=RetryPolicy()))
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in (programs[0], programs[1])]
+        serial = [
+            Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p)
+            for p in (programs[0], programs[1])
+        ]
         assert flat(outcomes[0]) == flat(serial[0])
         assert flat(outcomes[2]) == flat(serial[1])
         failure = outcomes[1]
@@ -266,7 +283,7 @@ class TestBatchFailureIsolation:
                 assert flat(b) == flat(s)
 
     def test_timeout_is_final_and_isolated(self, programs):
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO)
         outcomes = list(batch.iter_batch(programs, timeout_s=1e-9, retry=RetryPolicy(max_attempts=3)))
         assert len(outcomes) == len(programs)
         for outcome in outcomes:
@@ -276,19 +293,19 @@ class TestBatchFailureIsolation:
 
     def test_injected_crash_is_retried_in_isolation(self, programs):
         faults.configure("worker_crash:once")
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO)
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
         outcomes = list(batch.iter_batch(programs, retry=retry))
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
+        serial = [Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in programs]
         assert_bit_identical(outcomes, serial)
 
     def test_injected_crash_without_retry_budget_fails_alone(self, programs):
         faults.configure("worker_crash:once")
-        batch = BatchSimulator("arm", trace_options=TRACE, memoize=False)
+        batch = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO)
         outcomes = list(batch.iter_batch(programs, retry=RetryPolicy()))
         assert isinstance(outcomes[0], SimulationFailure)
         assert outcomes[0].kind == SimulationFailure.CRASH
-        serial = [Simulator("arm", trace_options=TRACE, memoize=False).run(p) for p in programs]
+        serial = [Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in programs]
         assert_bit_identical(outcomes[1:], serial[1:])
 
 

@@ -53,6 +53,7 @@ from repro.reliability import (
 )
 from repro.reliability import faults
 from repro.sim import (
+    RuntimeConfig,
     SimulationCache,
     SimulationFailure,
     SimulationResult,
@@ -66,6 +67,8 @@ from repro.sim.memo import _encode_entry
 TRACE = TraceOptions(max_accesses=15_000)
 #: Enough work that the per-chunk deadline poll actually runs several times.
 SLOW_TRACE = TraceOptions(max_accesses=200_000, chunk_iterations=64)
+#: Runtime config of the unmemoized simulators below.
+NO_MEMO = RuntimeConfig(memoize=False)
 
 
 @pytest.fixture(autouse=True)
@@ -367,7 +370,7 @@ class TestDeadline:
             deadline.check("trace walk")
 
     def test_simulator_run_honours_timeout(self, programs):
-        simulator = Simulator("arm", trace_options=SLOW_TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=SLOW_TRACE, config=NO_MEMO)
         with pytest.raises(DeadlineExceeded):
             simulator.run(programs[0], timeout_s=1e-9)
         # The same simulator still works once the budget is sane.
@@ -537,7 +540,7 @@ class TestNativeDegradation:
     def test_injected_fault_demotes_to_numpy_bit_identically(self, programs, restore_native):
         if not _native_available():
             pytest.skip("compiled native kernels unavailable in this environment")
-        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=TRACE, config=NO_MEMO)
         baseline = [flat(simulator.run(p)) for p in programs]
         faults.configure("native_fault:once")
         with pytest.warns(NativeKernelDemotionWarning):
@@ -549,7 +552,7 @@ class TestNativeDegradation:
     def test_probe_failure_falls_back_to_numpy(self, programs, restore_native):
         if not _native_available():
             pytest.skip("compiled native kernels unavailable in this environment")
-        simulator = Simulator("arm", trace_options=TRACE, memoize=False)
+        simulator = Simulator("arm", trace_options=TRACE, config=NO_MEMO)
         baseline = [flat(simulator.run(p)) for p in programs]
         _native._reset_for_tests()  # force the next use through the probe
         faults.configure("native_probe:once")
@@ -576,7 +579,8 @@ class TestMemoResilience:
     @pytest.fixture(scope="class")
     def stats(self, programs):
         faults.configure("")  # class fixtures resolve before the autouse shield
-        return Simulator("arm", trace_options=TRACE, memoize=False).run(programs[0]).stats
+        simulator = Simulator("arm", trace_options=TRACE, config=NO_MEMO)
+        return simulator.run(programs[0]).stats
 
     def test_roundtrip_through_disk(self, tmp_path, stats):
         cache = SimulationCache(disk_dir=tmp_path)

@@ -22,6 +22,7 @@ from repro.sim import (
     CacheLevelConfig,
     MainMemory,
     ReplacementPolicy,
+    RuntimeConfig,
     SimulationCache,
     Simulator,
     SimulatorPool,
@@ -80,7 +81,7 @@ class TestEngineSelection:
         explicit = Simulator(
             "arm",
             trace_options=TraceOptions(engine=ENGINE_REFERENCE),
-            engine=ENGINE_VECTORIZED,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED),
         )
         assert explicit.engine == ENGINE_VECTORIZED
 
@@ -174,10 +175,14 @@ class TestEngineEquivalence:
     def test_simulator_engine_equivalence(self, conv_program_x86):
         options = TraceOptions(max_accesses=30_000)
         ref = Simulator(
-            "x86", trace_options=options, engine=ENGINE_REFERENCE, memoize=False
+            "x86",
+            trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_REFERENCE, memoize=False),
         ).run(conv_program_x86)
         vec = Simulator(
-            "x86", trace_options=options, engine=ENGINE_VECTORIZED, memoize=False
+            "x86",
+            trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED, memoize=False),
         ).run(conv_program_x86)
         left, right = ref.flat_stats(), vec.flat_stats()
         left.pop("sim.host_seconds")
@@ -318,7 +323,7 @@ class TestRandomReplacement:
 
     def test_random_hierarchy_simulator_equivalence(self, conv_program_x86):
         """Reference vs vectorized(+descriptor) through a full random hierarchy."""
-        config = CacheHierarchyConfig(
+        hierarchy = CacheHierarchyConfig(
             name="tiny-random",
             l1d=CacheLevelConfig(4 * 64 * 2, 4, 2, replacement=ReplacementPolicy.RANDOM),
             l1i=CacheLevelConfig(4 * 64 * 2, 4, 2, replacement=ReplacementPolicy.RANDOM),
@@ -327,10 +332,16 @@ class TestRandomReplacement:
         )
         options = TraceOptions(max_accesses=30_000, rng_seed=13)
         ref = Simulator(
-            "x86", config, trace_options=options, engine=ENGINE_REFERENCE, memoize=False
+            "x86",
+            hierarchy,
+            trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_REFERENCE, memoize=False),
         ).run(conv_program_x86)
         vec = Simulator(
-            "x86", config, trace_options=options, engine=ENGINE_VECTORIZED, memoize=False
+            "x86",
+            hierarchy,
+            trace_options=options,
+            config=RuntimeConfig(engine=ENGINE_VECTORIZED, memoize=False),
         ).run(conv_program_x86)
         left, right = ref.flat_stats(), vec.flat_stats()
         left.pop("sim.host_seconds")
@@ -567,7 +578,9 @@ class TestMemoization:
 
     def test_memoize_disabled(self, conv_program_x86):
         options = TraceOptions(max_accesses=5_000)
-        simulator = Simulator("x86", trace_options=options, memoize=False)
+        simulator = Simulator(
+            "x86", trace_options=options, config=RuntimeConfig(memoize=False)
+        )
         assert simulator.memo_cache is None
         assert not simulator.run(conv_program_x86).cached
         assert not simulator.run(conv_program_x86).cached
@@ -653,8 +666,7 @@ class TestArenaBatching:
         simulator = Simulator(
             "x86",
             trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-            engine=engine,
-            memoize=False,
+            config=RuntimeConfig(engine=engine, memoize=False),
         )
         stats = simulator.run(program).flat_stats()
         stats.pop("sim.host_seconds")
@@ -735,22 +747,22 @@ class TestArenaBatching:
     def test_random_policy_arena_equivalence(self, conv_program_x86, monkeypatch):
         """The replayable victim stream survives arena batching, per seed."""
         for rng_seed in (0, 5):
-            config = hierarchy_with_replacement("x86", ReplacementPolicy.RANDOM)
+            hierarchy = hierarchy_with_replacement("x86", ReplacementPolicy.RANDOM)
             monkeypatch.setenv("REPRO_SIM_ARENA", "1")
             simulator = Simulator(
                 "x86",
-                hierarchy_config=config,
+                hierarchy_config=hierarchy,
                 trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-                memoize=False,
+                config=RuntimeConfig(memoize=False),
             )
             batched = simulator.run(conv_program_x86).flat_stats()
             batched.pop("sim.host_seconds")
             monkeypatch.setenv("REPRO_SIM_ARENA", "0")
             per_chunk_sim = Simulator(
                 "x86",
-                hierarchy_config=config,
+                hierarchy_config=hierarchy,
                 trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-                memoize=False,
+                config=RuntimeConfig(memoize=False),
             )
             per_chunk = per_chunk_sim.run(conv_program_x86).flat_stats()
             per_chunk.pop("sim.host_seconds")

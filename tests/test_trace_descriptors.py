@@ -44,6 +44,7 @@ from repro.sim import (
     CacheHierarchy,
     CacheHierarchyConfig,
     CacheLevelConfig,
+    RuntimeConfig,
     Simulator,
     TraceOptions,
     resolve_trace_mode,
@@ -680,7 +681,7 @@ class TestTraceModePlumbing:
             simulator = Simulator(
                 "x86",
                 trace_options=TraceOptions(max_accesses=20_000, trace=trace),
-                memoize=False,
+                config=RuntimeConfig(memoize=False),
             )
             flat = simulator.run(conv_program_x86).flat_stats()
             flat.pop("sim.host_seconds")
@@ -909,3 +910,241 @@ class TestNativeHeadPipeline:
         )
         for split_passes in (0, 1, 2):
             assert_native_heads_equal(chunk, 6, 7, split_passes)
+
+
+# ---------------------------------------------------------------------------
+# truncation cutoff: exact against the plain bisection it replaced
+# ---------------------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+
+import repro.codegen.program as program_module  # noqa: E402
+
+
+def _oracle_slab_span(batch):
+    """Position range ``[lo, hi]`` of a grid batch's first outer-level slab."""
+    first_pos = batch.run_first_pos()
+    lo = int(first_pos.min())
+    hi = int((first_pos + (batch.run_counts() - 1) * batch.pos_stride).max())
+    for count, pos_stride in zip(
+        batch.grid_counts[1:].tolist(), batch.grid_pos_strides[1:].tolist()
+    ):
+        lo, hi = lo + min(0, (count - 1) * pos_stride), hi + max(0, (count - 1) * pos_stride)
+    return lo, hi
+
+
+def _oracle_count_below(batch, cutoff):
+    """Members below ``cutoff``, re-deriving the slab analysis on every call."""
+    if batch.grid_counts is not None:
+        lo, hi = _oracle_slab_span(batch)
+        count, pos_stride = int(batch.grid_counts[0]), int(batch.grid_pos_strides[0])
+        if pos_stride <= hi - lo:
+            return _oracle_count_below(batch.degrid(), cutoff)
+        full = min(max((cutoff - 1 - hi) // pos_stride + 1, 0), count)
+        counted = full * (batch.total // count)
+        if full < count and lo + full * pos_stride < cutoff:
+            partial = program_module._drop_outer_level(batch, full)
+            counted += _oracle_count_below(partial, cutoff)
+        return counted
+    below = -((batch.run_first_pos() - cutoff) // batch.pos_stride)
+    return int(np.clip(below, 0, batch.run_counts()).sum())
+
+
+def _oracle_clip(batch, cutoff):
+    """The recursive grid-keeping clip, slab span recomputed per level."""
+    if batch.grid_counts is not None:
+        lo, hi = _oracle_slab_span(batch)
+        count, pos_stride = int(batch.grid_counts[0]), int(batch.grid_pos_strides[0])
+        if pos_stride > hi - lo:
+            full = min(max((cutoff - 1 - hi) // pos_stride + 1, 0), count)
+            out = []
+            if full > 0:
+                levels = slice(0, None) if full > 1 else slice(1, None)
+                kept = dataclasses.replace(
+                    batch,
+                    grid_strides=batch.grid_strides[levels],
+                    grid_counts=batch.grid_counts[levels].copy(),
+                    grid_pos_strides=batch.grid_pos_strides[levels],
+                )
+                if full > 1:
+                    kept.grid_counts[0] = full
+                elif not kept.grid_counts.size:
+                    kept.grid_strides = kept.grid_counts = kept.grid_pos_strides = None
+                out.append(kept)
+            if full < count and lo + full * pos_stride < cutoff:
+                out += _oracle_clip(program_module._drop_outer_level(batch, full), cutoff)
+            return out
+    clipped = program_module._clip_runs(batch.degrid(), cutoff)
+    return [clipped] if clipped is not None else []
+
+
+def oracle_cutoff(chunk, keep):
+    """Plain bisection of the cutoff: ``(cutoff, per-batch count evaluations)``."""
+    low, high, evaluations = 0, max(chunk.pos_bound, 1), 0
+    while low + 1 < high:
+        mid = (low + high) // 2
+        counted = sum(_oracle_count_below(batch, mid) for batch in chunk.batches)
+        evaluations += len(chunk.batches)
+        if chunk.positions is not None:
+            counted += int(np.count_nonzero(chunk.positions < mid))
+        low, high = (low, mid) if counted >= keep else (mid, high)
+    return high, evaluations
+
+
+def assert_same_batch(got, want):
+    for field in dataclasses.fields(AccessRunBatch):
+        have, expected = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(expected, np.ndarray):
+            assert isinstance(have, np.ndarray), field.name
+            assert have.dtype == expected.dtype, field.name
+            assert np.array_equal(have, expected), field.name
+        else:
+            assert have == expected, field.name
+
+
+def assert_truncation_exact(chunk, keep):
+    """``truncate(keep)`` matches the bisection cutoff, clip and member stream."""
+    cutoff, _ = oracle_cutoff(chunk, keep)
+    truncated = chunk.truncate(keep)
+    assert truncated.total == keep
+    assert truncated.pos_bound == cutoff
+    positions = [batch.member_addresses()[1] for batch in chunk.batches]
+    if chunk.positions is not None:
+        positions.append(chunk.positions)
+    assert cutoff == int(np.sort(np.concatenate(positions))[keep - 1]) + 1
+    want = [clipped for batch in chunk.batches for clipped in _oracle_clip(batch, cutoff)]
+    assert len(truncated.batches) == len(want)
+    for got_batch, want_batch in zip(truncated.batches, want):
+        assert_same_batch(got_batch, want_batch)
+    addresses, writes = chunk.expand()
+    got_addresses, got_writes = truncated.expand()
+    assert np.array_equal(got_addresses, addresses[:keep])
+    assert np.array_equal(got_writes, writes[:keep])
+
+
+def _keeps(total, drawn):
+    """Every keep below ``total`` for small chunks; the edges plus a draw otherwise."""
+    if total <= 128:
+        return range(1, total)
+    return sorted({1, total - 1, drawn} - {total})
+
+
+def _handbuilt_chunks():
+    overlapping = AccessRunBatch(  # outer slabs overlap: degridded at level 0
+        bases=np.array([0x100], dtype=np.int64),
+        stride=4,
+        pos_stride=7,
+        is_write=False,
+        uniform_count=3,
+        first_pos_start=0,
+        grid_strides=np.array([0x40], dtype=np.int64),
+        grid_counts=np.array([4], dtype=np.int64),
+        grid_pos_strides=np.array([5], dtype=np.int64),
+    )
+    inner_overlap = AccessRunBatch(  # disjoint outer slabs, overlapping inner ones
+        bases=np.array([0x100], dtype=np.int64),
+        stride=4,
+        pos_stride=7,
+        is_write=True,
+        uniform_count=3,
+        first_pos_start=1,
+        grid_strides=np.array([0x1000, 0x40], dtype=np.int64),
+        grid_counts=np.array([3, 4], dtype=np.int64),
+        grid_pos_strides=np.array([100, 5], dtype=np.int64),
+    )
+    two_level = AccessRunBatch(
+        bases=np.array([0x100, 0x900], dtype=np.int64),
+        stride=8,
+        pos_stride=3,
+        is_write=False,
+        counts=np.array([3, 2], dtype=np.int64),
+        first_pos=np.array([0, 9], dtype=np.int64),
+        grid_strides=np.array([0x2000, 64], dtype=np.int64),
+        grid_counts=np.array([2, 4], dtype=np.int64),
+        grid_pos_strides=np.array([400, 100], dtype=np.int64),
+    )
+    runs = AccessRunBatch(
+        bases=np.array([0x1000, 0x8000], dtype=np.int64),
+        stride=4,
+        pos_stride=2,
+        is_write=False,
+        counts=np.array([40, 40], dtype=np.int64),
+        first_pos=np.array([0, 80], dtype=np.int64),
+    )
+    rng = np.random.default_rng(9)
+    span_positions = np.arange(1, 41, 2, dtype=np.int64)
+    mixed = DescriptorChunk(
+        total=80 + span_positions.size,
+        pos_bound=161,
+        batches=[runs],
+        addresses=rng.integers(0, 1 << 14, size=span_positions.size).astype(np.int64),
+        writes=rng.random(span_positions.size) < 0.5,
+        positions=span_positions,
+    )
+    return {
+        "overlapping-slabs": DescriptorChunk(total=12, pos_bound=32, batches=[overlapping]),
+        "overlapping-inner-slabs": DescriptorChunk(
+            total=36, pos_bound=231, batches=[inner_overlap]
+        ),
+        "disjoint-levels": DescriptorChunk(total=40, pos_bound=713, batches=[two_level]),
+        "mixed-explicit-span": mixed,
+    }
+
+
+class TestTruncationCutoff:
+    """``truncate`` returns exactly what the per-probe bisection returned."""
+
+    @pytest.mark.parametrize("name", sorted(_handbuilt_chunks()))
+    def test_handbuilt_chunks_every_keep(self, name):
+        chunk = _handbuilt_chunks()[name]
+        for keep in range(1, chunk.total):
+            assert_truncation_exact(chunk, keep)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        program=tiled_programs(),
+        chunk_iterations=st.sampled_from([5, 64, 1 << 16]),
+        data=st.data(),
+    )
+    def test_tiled_chunks(self, program, chunk_iterations, data):
+        chunks = list(program.memory_trace_descriptors(chunk_iterations=chunk_iterations))
+        chunk = data.draw(st.sampled_from(chunks), label="chunk")
+        drawn = data.draw(st.integers(1, chunk.total), label="keep")
+        for keep in _keeps(chunk.total, drawn):
+            assert_truncation_exact(chunk, keep)
+        assert chunk.truncate(chunk.total) is chunk
+
+    def test_probe_work_is_bounded(self, monkeypatch):
+        """One structure build per batch, and fewer count evaluations than bisection.
+
+        Counts calls rather than time, so a regression that rebuilds the
+        slab analysis per probe, or falls back to bisecting, fails here
+        deterministically.
+        """
+        program = _tiled_program(
+            [(4, 3), (5, 2), (3, 4)], extra_accesses=[_padded_store, _promoted_load]
+        )
+        (chunk,) = program.memory_trace_descriptors()
+        assert any(batch.grid_counts is not None for batch in chunk.batches)
+        keep = chunk.total // 2 + 7
+        _, bisection_evaluations = oracle_cutoff(chunk, keep)
+        plan = program_module._BatchPositions
+        calls = {"build": 0, "count": 0}
+        build, count_below = plan.__init__, plan.count_below
+
+        def counting_build(self, batch):
+            calls["build"] += 1
+            build(self, batch)
+
+        def counting_count_below(self, cutoff):
+            calls["count"] += 1
+            return count_below(self, cutoff)
+
+        monkeypatch.setattr(plan, "__init__", counting_build)
+        monkeypatch.setattr(plan, "count_below", counting_count_below)
+        truncated = chunk.truncate(keep)
+        assert truncated.total == keep
+        assert calls["build"] == len(chunk.batches)
+        assert 0 < calls["count"] < bisection_evaluations
