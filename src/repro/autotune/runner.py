@@ -14,7 +14,6 @@ function registry under the name ``"autotvm.simulator_run"``.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace as dataclasses_replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -28,7 +27,6 @@ from repro.autotune.measure import (
 )
 from repro.autotune.registry import get_func
 from repro.hardware.board import TargetBoard
-from repro.reliability import RetryPolicy
 from repro.sim.cpu import TraceOptions
 from repro.sim.runtime_config import RuntimeConfig
 from repro.sim.simulator import SimulationFailure, SimulationResult, SimulatorPool
@@ -57,13 +55,11 @@ def _failure_result(failure: SimulationFailure) -> MeasureResult:
     )
 
 
-def batched_measurement_default() -> bool:
-    """Whether runners route simulations through the candidate-batch
-    scheduler by default (``REPRO_RUNNER_BATCH=0`` restores the
-    per-candidate path; results are bit-identical either way)."""
-    return os.environ.get("REPRO_RUNNER_BATCH", "1").strip().lower() not in (
-        "0", "false", "off",
-    )
+def _runner_config(config: Optional[RuntimeConfig], timeout_s: float) -> RuntimeConfig:
+    """A runner's effective config: the ``Runner`` base-class ``timeout_s``
+    contract, when positive, overrides the config's per-candidate budget."""
+    config = config if config is not None else RuntimeConfig()
+    return config.with_overrides(timeout_s=timeout_s) if timeout_s else config
 
 
 #: Callback invoked per candidate as its measurement settles (streaming
@@ -115,8 +111,9 @@ class SimulatorRunner(Runner):
     """Custom runner executing autotuning workloads on simulators (Listing 3).
 
     The measurement batch travels the **candidate-batch scheduler** by
-    default (``batch=True``): identical candidates — which GA populations
-    and model-based tuners produce in numbers — are deduplicated by
+    default (``RuntimeConfig.runner_batch``): identical candidates — which
+    GA populations and model-based tuners produce in numbers — are
+    deduplicated by
     :meth:`~repro.codegen.program.Program.content_digest` *before* any
     simulation (within one runner every other memoization-key component is
     fixed, so digest-level dedupe coincides exactly with memo-key dedupe),
@@ -128,7 +125,12 @@ class SimulatorRunner(Runner):
     settled prefix grows, because stateful score functions (the
     predictor's window estimators) are order-sensitive.  Scores,
     statistics, error mapping and retry accounting are bit-identical to
-    the per-candidate path (``REPRO_RUNNER_BATCH=0`` or ``batch=False``).
+    the per-candidate path (``REPRO_RUNNER_BATCH=0`` or
+    ``config=RuntimeConfig(runner_batch=False)``).
+
+    Runtime settings (engine, memoization, retry, batching) come from
+    ``config`` alone; ``timeout_s`` is the :class:`Runner` contract and,
+    when positive, overrides ``config.timeout_s``.
     """
 
     def __init__(
@@ -139,11 +141,7 @@ class SimulatorRunner(Runner):
         score_function: Optional[ScoreFunction] = None,
         backend: str = "serial",
         collect_results: bool = True,
-        engine: Optional[str] = None,
-        memoize: bool = True,
         timeout_s: float = 0.0,
-        retry: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
         on_result: Optional[ResultCallback] = None,
         config: Optional[RuntimeConfig] = None,
     ):
@@ -151,21 +149,16 @@ class SimulatorRunner(Runner):
         self.arch = arch
         self.trace_options = trace_options
         self.score_function = score_function
-        self.config = config if config is not None else RuntimeConfig()
+        self.config = _runner_config(config, timeout_s)
         self.pool = SimulatorPool(
             arch=arch,
             n_parallel=n_parallel,
             trace_options=trace_options,
             backend=backend,
-            engine=engine,
-            memoize=memoize,
-            timeout_s=timeout_s,
-            retry=retry,
             config=self.config,
         )
         self.collect_results = collect_results
-        # Precedence: explicit kwarg > config field > REPRO_RUNNER_BATCH > on.
-        self.batch = self.config.resolved_runner_batch() if batch is None else bool(batch)
+        self.batch = self.config.resolved_runner_batch()
         #: Streaming hook: called as each candidate's measurement settles.
         self.on_result = on_result
         #: Simulation results of every successful run, in measurement order.
@@ -348,29 +341,21 @@ class RunnerStatsCollector(Runner):
         trace_options: TraceOptions = TraceOptions(),
         n_parallel: int = 1,
         backend: str = "serial",
-        engine: Optional[str] = None,
-        memoize: bool = True,
         timeout_s: float = 0.0,
-        retry: Optional[RetryPolicy] = None,
-        batch: Optional[bool] = None,
         config: Optional[RuntimeConfig] = None,
     ):
         super().__init__(n_parallel=n_parallel, timeout_s=timeout_s)
         self.board = board
         self.arch = arch or board.arch
-        self.config = config if config is not None else RuntimeConfig()
+        self.config = _runner_config(config, timeout_s)
         self.pool = SimulatorPool(
             arch=self.arch,
             n_parallel=n_parallel,
             trace_options=trace_options,
             backend=backend,
-            engine=engine,
-            memoize=memoize,
-            timeout_s=timeout_s,
-            retry=retry,
             config=self.config,
         )
-        self.batch = self.config.resolved_runner_batch() if batch is None else bool(batch)
+        self.batch = self.config.resolved_runner_batch()
         #: Paired training records: (measure input, simulation result, measurement record).
         self.records: List[tuple] = []
 

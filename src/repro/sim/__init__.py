@@ -37,7 +37,6 @@ from repro.sim.engine import (
     TRACE_MODES,
     VectorCacheState,
     arena_batching_available,
-    arena_batching_enabled,
     default_engine,
     default_trace_mode,
     native_chunk_heads,
@@ -89,7 +88,6 @@ __all__ = [
     "TRACE_MODES",
     "VectorCacheState",
     "arena_batching_available",
-    "arena_batching_enabled",
     "default_engine",
     "default_trace_mode",
     "native_chunk_heads",

@@ -205,7 +205,7 @@ class SimulationCache:
             if flat is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return _stats_from_flat(flat)
+                return stats_from_flat(flat)
         # The disk read happens outside the lock so concurrent workers are
         # not serialized behind file I/O (mirroring ``put``); the re-locked
         # insert is a double-checked write — entries are content-addressed,
@@ -217,7 +217,7 @@ class SimulationCache:
             if flat is not None:
                 self._insert(key, flat)
                 self.hits += 1
-                return _stats_from_flat(flat)
+                return stats_from_flat(flat)
             self.misses += 1
             return None
 
@@ -429,10 +429,6 @@ def stats_from_flat(flat: Dict[str, float]) -> SimulationStats:
         group_name, _, key = flat_key.rpartition(".")
         stats.group(group_name).set(key, value)
     return stats
-
-
-#: Backwards-compatible private alias (pre-service internal name).
-_stats_from_flat = stats_from_flat
 
 
 #: Process-wide default cache shared by all memoizing simulators.

@@ -1,10 +1,10 @@
 """Typed runtime configuration: one resolution point for the toggle surface.
 
 The simulation stack grew one environment variable per PR — engine selection,
-trace representation, native-kernel and arena-batching toggles, the batched
-measurement path, retry policy, the shared memo directory.  Each used to be
-read ad hoc at its point of use (``os.environ.get`` scattered through
-``engine.py``, ``simulator.py``, ``runner.py``, ``memo.py``), which made the
+trace representation, the native-kernel switch, the batched measurement path,
+retry policy, the shared memo directory.  Each used to be read ad hoc at its
+point of use (``os.environ.get`` scattered through ``engine.py``,
+``simulator.py``, ``runner.py``, ``memo.py``), which made the
 effective configuration of a run impossible to inspect or to pin down for a
 service process.
 
@@ -24,10 +24,6 @@ service process.
                                                    for every hierarchy level
                                                    (registry name; default:
                                                    per-level Table I policies)
-``native``                ``REPRO_SIM_NATIVE``     compiled C kernels (``0``
-                                                   disables; default on)
-``arena``                 ``REPRO_SIM_ARENA``      cross-chunk arena batching
-                                                   (``0`` disables; default on)
 ``runner_batch``          ``REPRO_RUNNER_BATCH``   candidate-batch measurement
                                                    path (``0``/``false``/``off``
                                                    disables; default on)
@@ -46,12 +42,12 @@ the current environment into explicit values, pinning them against later
 environment changes; it is the one place the variables above are read into
 structured form.
 
-``native`` and ``arena`` are process-global toggles (the native library probe
-and the arena dispatch gate read the environment directly, deep inside the
-engine); :meth:`apply_process_toggles` writes them back to ``os.environ`` for
-service entry points that must pin the whole process, and
-:meth:`RuntimeConfig.describe` renders the resolved surface for
-``repro.cli serve --check``.
+The compiled C kernels are not a config field: ``REPRO_SIM_NATIVE=0``
+disables them process-wide, read once when the kernels first load
+(:mod:`repro.sim._native`); a runtime demotion also turns them off for the
+rest of the process.  :meth:`RuntimeConfig.describe` renders the resolved
+surface for ``repro.cli serve --check``, with a ``native`` row reporting
+whether the kernels actually loaded.
 """
 
 from __future__ import annotations
@@ -61,16 +57,16 @@ from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional, Tuple
 
 from repro.reliability import RetryPolicy
-from repro.sim.engine import resolve_engine, resolve_trace_mode
+from repro.sim.engine import arena_batching_available, resolve_engine, resolve_trace_mode
 
-#: ``(field, env var, description)`` rows of the documented toggle surface.
+#: ``(setting, env var, description)`` rows of the documented toggle surface:
+#: every config field plus the env-only, process-wide ``native`` switch.
 ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
     ("engine", "REPRO_SIM_ENGINE", "cache-simulation engine (reference/vectorized)"),
     ("trace", "REPRO_SIM_TRACE", "trace representation (expanded/descriptor)"),
     ("replacement", "REPRO_SIM_REPLACEMENT",
      "replacement policy of every hierarchy level (registry name; default Table I)"),
-    ("native", "REPRO_SIM_NATIVE", "compiled C kernels (0 disables)"),
-    ("arena", "REPRO_SIM_ARENA", "cross-chunk arena batching (0 disables)"),
+    ("native", "REPRO_SIM_NATIVE", "compiled C kernels (0 disables; process-wide)"),
     ("runner_batch", "REPRO_RUNNER_BATCH", "candidate-batch measurement path"),
     ("memo_dir", "REPRO_SIM_MEMO_DIR", "shared on-disk memo directory"),
     ("retry", "REPRO_RETRY_ATTEMPTS (+_BASE_DELAY_S/_MAX_DELAY_S/_SEED)",
@@ -78,13 +74,8 @@ ENV_SURFACE: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-def _native_flag(value: Optional[str]) -> bool:
-    """``REPRO_SIM_NATIVE``/``REPRO_SIM_ARENA`` reading: only ``"0"`` disables."""
-    return value != "0"
-
-
 def _batch_flag(value: Optional[str]) -> bool:
-    """``REPRO_RUNNER_BATCH`` semantics (matches ``batched_measurement_default``)."""
+    """``REPRO_RUNNER_BATCH`` semantics: ``0``/``false``/``off`` disable."""
     if value is None:
         return True
     return value.strip().lower() not in ("0", "false", "off")
@@ -107,10 +98,6 @@ class RuntimeConfig:
     #: :data:`repro.sim.policies.POLICIES` name); ``None`` defers to
     #: ``REPRO_SIM_REPLACEMENT`` and then the Table I per-level defaults.
     replacement: Optional[str] = None
-    #: Compiled-kernel toggle (process-global; see :meth:`apply_process_toggles`).
-    native: Optional[bool] = None
-    #: Arena-batching toggle (process-global; see :meth:`apply_process_toggles`).
-    arena: Optional[bool] = None
     #: Whether runners use the candidate-batch measurement path.
     runner_batch: Optional[bool] = None
     #: Whether simulators memoize results at all (no env var; default on).
@@ -137,8 +124,6 @@ class RuntimeConfig:
             engine=env.get("REPRO_SIM_ENGINE") or None,
             trace=env.get("REPRO_SIM_TRACE") or None,
             replacement=env.get("REPRO_SIM_REPLACEMENT") or None,
-            native=_native_flag(env.get("REPRO_SIM_NATIVE")),
-            arena=_native_flag(env.get("REPRO_SIM_ARENA")),
             runner_batch=_batch_flag(env.get("REPRO_RUNNER_BATCH")),
             memoize=True,
             memo_dir=env.get("REPRO_SIM_MEMO_DIR") or None,
@@ -169,18 +154,6 @@ class RuntimeConfig:
             get_policy(value)  # raises ValueError on unknown names
         return value
 
-    def resolved_native(self) -> bool:
-        """The effective compiled-kernel toggle (field, else ``REPRO_SIM_NATIVE``)."""
-        if self.native is not None:
-            return self.native
-        return _native_flag(os.environ.get("REPRO_SIM_NATIVE"))
-
-    def resolved_arena(self) -> bool:
-        """The effective arena toggle (field, else ``REPRO_SIM_ARENA``)."""
-        if self.arena is not None:
-            return self.arena
-        return _native_flag(os.environ.get("REPRO_SIM_ARENA"))
-
     def resolved_runner_batch(self) -> bool:
         """The effective batched-measurement toggle (field, else env)."""
         if self.runner_batch is not None:
@@ -203,21 +176,6 @@ class RuntimeConfig:
 
         return str(shared_disk_cache_dir())
 
-    # -- process-global toggles ---------------------------------------------
-    def apply_process_toggles(self) -> None:
-        """Pin the process-global toggles by writing them back to ``os.environ``.
-
-        The native-kernel probe and the arena dispatch gate are read deep
-        inside the engine on every call; long-lived service processes call
-        this once at startup so the config object is authoritative for the
-        whole process.
-        """
-        os.environ["REPRO_SIM_NATIVE"] = "1" if self.resolved_native() else "0"
-        os.environ["REPRO_SIM_ARENA"] = "1" if self.resolved_arena() else "0"
-        os.environ["REPRO_RUNNER_BATCH"] = "1" if self.resolved_runner_batch() else "0"
-        if self.memo_dir is not None:
-            os.environ["REPRO_SIM_MEMO_DIR"] = str(self.memo_dir)
-
     def validate(self) -> "RuntimeConfig":
         """Resolve and type-check every field; raises ``ValueError`` on nonsense."""
         engine = self.resolved_engine()
@@ -235,8 +193,8 @@ class RuntimeConfig:
             "engine": engine,
             "trace": self.resolved_trace(engine),
             "replacement": self.resolved_replacement() or "per-level default",
-            "native": "on" if self.resolved_native() else "off",
-            "arena": "on" if self.resolved_arena() else "off",
+            # The batch driver binds together with every other kernel.
+            "native": "on" if arena_batching_available() else "off",
             "runner_batch": "on" if self.resolved_runner_batch() else "off",
             "memo_dir": self.resolved_memo_dir(),
             "retry": repr(self.resolved_retry()),

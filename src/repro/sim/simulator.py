@@ -9,9 +9,9 @@ fallback).
 
 Two cross-cutting performance features live here:
 
-* **Engine selection** — ``engine`` picks the cache-simulation engine
-  (``"reference"`` or ``"vectorized"``, see :mod:`repro.sim.engine`) and is
-  threaded down through the hierarchy; ``TraceOptions.engine`` is honoured
+* **Engine selection** — ``RuntimeConfig.engine`` picks the cache-simulation
+  engine (``"reference"`` or ``"vectorized"``, see :mod:`repro.sim.engine`)
+  and is threaded down through the hierarchy; ``TraceOptions.engine`` is honoured
   when no explicit engine is given.  ``TraceOptions.trace`` likewise picks
   the trace representation (descriptor runs by default on the vectorized
   engine, expanded address chunks otherwise); all combinations are
@@ -57,11 +57,6 @@ from repro.sim.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.sim.memo import SimulationCache, default_simulation_cache
 from repro.sim.runtime_config import RuntimeConfig
 from repro.sim.stats import SimulationStats
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``/value,
-#: so the deprecated ``engine=``/``memoize=`` kwargs warn only when used.
-_UNSET = object()
-
 
 @dataclass
 class SimulationResult:
@@ -125,8 +120,6 @@ class Simulator:
         arch: str,
         hierarchy_config: Optional[CacheHierarchyConfig] = None,
         trace_options: TraceOptions = TraceOptions(),
-        engine=_UNSET,
-        memoize=_UNSET,
         memo_cache: Optional[SimulationCache] = None,
         *,
         config: Optional[RuntimeConfig] = None,
@@ -136,13 +129,10 @@ class Simulator:
         Runtime toggles (engine, trace representation, memoization, retry,
         memo directory) come from ``config`` — a
         :class:`~repro.sim.runtime_config.RuntimeConfig`, defaulting to the
-        env-deferring ``RuntimeConfig()``.  The per-toggle ``engine=`` and
-        ``memoize=`` kwargs are **deprecated** (still honoured, with a
-        :class:`DeprecationWarning`, for one release): pass
-        ``config=RuntimeConfig(engine=..., memoize=...)`` instead.
+        env-deferring ``RuntimeConfig()``.
 
-        Resolution precedence, most specific first: deprecated kwarg >
-        ``config`` field > ``TraceOptions`` field > environment > default.
+        Resolution precedence, most specific first: ``config`` field >
+        ``TraceOptions`` field > environment > default.
         """
         self.arch = arch.strip().lower()
         self.config = config if config is not None else RuntimeConfig()
@@ -158,32 +148,14 @@ class Simulator:
             else:
                 hierarchy_config = CACHE_HIERARCHIES[self.arch]
         self.hierarchy_config = hierarchy_config
-        if engine is _UNSET:
-            engine = None
-        else:
-            warnings.warn(
-                "Simulator(engine=...) is deprecated; pass "
-                "config=RuntimeConfig(engine=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if memoize is _UNSET:
-            memoize = self.config.resolved_memoize()
-        else:
-            warnings.warn(
-                "Simulator(memoize=...) is deprecated; pass "
-                "config=RuntimeConfig(memoize=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.engine = resolve_engine(engine or self.config.engine or trace_options.engine)
+        self.engine = resolve_engine(self.config.engine or trace_options.engine)
         # Pin the trace representation at construction so later environment
         # changes cannot make runs disagree with the inspected attribute.
         self.trace = resolve_trace_mode(
             self.config.trace or trace_options.trace, self.engine
         )
         self.trace_options = replace(trace_options, trace=self.trace)
-        self.memoize = bool(memoize)
+        self.memoize = self.config.resolved_memoize()
         self.memo_cache = memo_cache if memo_cache is not None else (
             default_simulation_cache() if self.memoize else None
         )
@@ -766,8 +738,9 @@ class SimulatorPool:
       process-spawn and pickling overhead of ``"processes"``.  All workers
       share the process-wide memoization cache.
     * ``"processes"`` — one OS process per concurrent simulation.  Workers
-      share the memoization cache through an on-disk layer (``memo_dir``,
-      defaulting to :func:`repro.sim.memo.shared_disk_cache_dir`), so a
+      share the memoization cache through an on-disk layer
+      (``config.memo_dir``, defaulting to
+      :func:`repro.sim.memo.shared_disk_cache_dir`), so a
       result computed by any worker — or by a previous run — is served to
       all of them.
     """
@@ -777,39 +750,18 @@ class SimulatorPool:
     hierarchy_config: Optional[CacheHierarchyConfig] = None
     trace_options: TraceOptions = field(default_factory=TraceOptions)
     backend: str = "serial"  # "serial", "threads" or "processes"
-    engine: Optional[str] = None
-    memoize: bool = True
-    #: Shared disk cache directory for the ``processes`` backend; ``None``
-    #: selects the per-user default.
-    memo_dir: Optional[str] = None
-    #: Per-candidate simulation budget in seconds for the resilient API
-    #: (0 = unlimited).  Enforced cooperatively inside the trace walk, with a
-    #: process-kill backstop on the ``processes`` backend.
-    timeout_s: float = 0.0
-    #: Retry policy for crashed or erroring candidates in the resilient API;
-    #: ``None`` reads ``REPRO_RETRY_*`` (retries disabled by default).
-    retry: Optional[RetryPolicy] = None
     #: How many times a broken process pool is respawned before the
     #: remaining work degrades to the ``threads`` backend.
     max_pool_respawns: int = 2
-    #: Consolidated runtime configuration.  Per-field dataclass knobs above
-    #: (``engine``/``memoize``/``memo_dir``/``timeout_s``/``retry``) override
-    #: the corresponding config fields when set, so legacy call sites keep
-    #: their exact semantics; new call sites should pass ``config`` alone.
-    config: Optional[RuntimeConfig] = None
+    #: Runtime configuration of every simulator the pool builds: engine,
+    #: memoization, the ``processes`` backend's shared disk cache directory
+    #: (``memo_dir``), the per-candidate budget of the resilient API
+    #: (``timeout_s``; enforced cooperatively inside the trace walk, with a
+    #: process-kill backstop on the ``processes`` backend) and its retry
+    #: policy for crashed or erroring candidates.
+    config: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     BACKENDS = ("serial", "threads", "processes")
-
-    def _runtime(self) -> RuntimeConfig:
-        """The pool's effective config: legacy per-field knobs folded in."""
-        cfg = self.config if self.config is not None else RuntimeConfig()
-        return cfg.with_overrides(
-            engine=self.engine or cfg.engine,
-            memoize=cfg.resolved_memoize() and self.memoize,
-            memo_dir=self.memo_dir or cfg.memo_dir,
-            timeout_s=self.timeout_s or cfg.timeout_s,
-            retry=self.retry or cfg.retry,
-        )
 
     def run_many(self, programs: Sequence[Program]) -> List[SimulationResult]:
         """Simulate all ``programs`` and return results in input order."""
@@ -817,10 +769,9 @@ class SimulatorPool:
             raise ValueError(
                 f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
             )
-        cfg = self._runtime()
         memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
+        if self.backend == "processes" and self.config.resolved_memoize():
+            memo_dir = self.config.resolved_memo_dir()
         if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
             memo_cache = _worker_cache(memo_dir) if memo_dir else None
             simulator = Simulator(
@@ -828,7 +779,7 @@ class SimulatorPool:
                 self.hierarchy_config,
                 self.trace_options,
                 memo_cache=memo_cache,
-                config=cfg,
+                config=self.config,
             )
             return [simulator.run(program) for program in programs]
         if self.backend == "threads":
@@ -841,7 +792,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     program,
-                    cfg,
+                    self.config,
                     memo_dir,
                 )
                 for program in programs
@@ -863,7 +814,6 @@ class SimulatorPool:
     def _run_threaded(self, programs: Sequence[Program]) -> List[SimulationResult]:
         """Chunked thread dispatch: each worker runs one contiguous slice."""
         slices = self._contiguous_slices(programs)
-        cfg = self._runtime()
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
             futures = [
                 pool.submit(
@@ -872,7 +822,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     chunk,
-                    cfg,
+                    self.config,
                 )
                 for chunk in slices
             ]
@@ -907,12 +857,11 @@ class SimulatorPool:
             raise ValueError(
                 f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
             )
-        cfg = self._runtime()
-        retry = cfg.resolved_retry()
-        timeout_s = float(cfg.timeout_s or 0.0)
+        retry = self.config.resolved_retry()
+        timeout_s = float(self.config.timeout_s or 0.0)
         memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
+        if self.backend == "processes" and self.config.resolved_memoize():
+            memo_dir = self.config.resolved_memo_dir()
         if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
             return self._run_serial_resilient(programs, memo_dir, timeout_s, retry)
         if self.backend == "threads":
@@ -932,7 +881,7 @@ class SimulatorPool:
             self.hierarchy_config,
             self.trace_options,
             memo_cache=memo_cache,
-            config=self._runtime(),
+            config=self.config,
         )
         return [_attempt_program(simulator, program, timeout_s, retry) for program in programs]
 
@@ -941,7 +890,6 @@ class SimulatorPool:
     ) -> List[ResilientOutcome]:
         """Chunked thread dispatch with per-program containment in each slice."""
         slices = self._contiguous_slices(programs)
-        cfg = self._runtime()
         results: List[ResilientOutcome] = []
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
             futures = [
@@ -951,7 +899,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     chunk,
-                    cfg,
+                    self.config,
                     timeout_s,
                     retry,
                 )
@@ -996,7 +944,6 @@ class SimulatorPool:
         # Workers enforce timeout_s cooperatively and come back on their own;
         # the parent-side backstop only trips for a truly wedged worker.
         backstop = timeout_s * 2.0 + 5.0 if timeout_s > 0 else None
-        cfg = self._runtime()
         while pending:
             pool = ProcessPoolExecutor(max_workers=min(self.n_parallel, len(pending)))
             futures = {}
@@ -1008,7 +955,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     programs[i],
-                    cfg,
+                    self.config,
                     memo_dir,
                     timeout_s,
                 )
@@ -1110,12 +1057,11 @@ class SimulatorPool:
             raise ValueError(
                 f"unknown pool backend {self.backend!r}; expected one of {self.BACKENDS}"
             )
-        cfg = self._runtime()
-        retry = cfg.resolved_retry()
-        timeout_s = float(cfg.timeout_s or 0.0)
+        retry = self.config.resolved_retry()
+        timeout_s = float(self.config.timeout_s or 0.0)
         memo_dir = None
-        if self.backend == "processes" and cfg.resolved_memoize():
-            memo_dir = cfg.resolved_memo_dir()
+        if self.backend == "processes" and self.config.resolved_memoize():
+            memo_dir = self.config.resolved_memo_dir()
         if self.backend == "serial" or self.n_parallel <= 1 or len(programs) <= 1:
             memo_cache = _worker_cache(memo_dir) if memo_dir else None
             batch = BatchSimulator(
@@ -1123,7 +1069,7 @@ class SimulatorPool:
                 self.hierarchy_config,
                 self.trace_options,
                 memo_cache=memo_cache,
-                config=cfg,
+                config=self.config,
             )
             yield from batch.iter_batch(programs, timeout_s=timeout_s, retry=retry)
             return
@@ -1140,7 +1086,6 @@ class SimulatorPool:
         retry: RetryPolicy,
     ) -> Iterator[ResilientOutcome]:
         """One batch simulator per thread slice; yields slices in order."""
-        cfg = self._runtime()
         with ThreadPoolExecutor(max_workers=len(slices)) as pool:
             futures = [
                 pool.submit(
@@ -1149,7 +1094,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     chunk,
-                    cfg,
+                    self.config,
                     None,
                     timeout_s,
                     retry,
@@ -1171,7 +1116,7 @@ class SimulatorPool:
                         self.hierarchy_config,
                         self.trace_options,
                         chunk,
-                        cfg,
+                        self.config,
                         None,
                         timeout_s,
                         retry,
@@ -1199,7 +1144,6 @@ class SimulatorPool:
         pending = list(range(n))
         respawns = 0
         emitted = 0
-        cfg = self._runtime()
         while pending:
             pool = ProcessPoolExecutor(max_workers=min(self.n_parallel, len(pending)))
             futures = {}
@@ -1210,7 +1154,7 @@ class SimulatorPool:
                     self.hierarchy_config,
                     self.trace_options,
                     slices[s],
-                    cfg,
+                    self.config,
                     memo_dir,
                     timeout_s,
                     retry,

@@ -9,6 +9,7 @@ from repro import te
 from repro.codegen import Target, build_program
 from repro.pipeline.dataset import generate_group_samples
 from repro.predictor.training import PredictorDataset
+from repro.sim import cache as cache_module
 from repro.sim.cpu import TraceOptions
 from repro.te import topi
 from repro.workloads.conv2d import Conv2DParams
@@ -57,6 +58,18 @@ def make_conv_func(params: Conv2DParams | None = None, vectorize=True, name="con
         conv_stage.vectorize(ow_inner)
     args = [ifm, weights, bias, out]
     return te.lower(schedule, args, name=name), args
+
+
+@pytest.fixture
+def per_chunk_route(monkeypatch):
+    """Hide the batch kernel so descriptor streams take the per-chunk route.
+
+    That route is the automatic fallback when the kernel is missing, an
+    arena is deeper than the batch kernel's grid limit, or a run is demoted
+    mid-sweep; equivalence classes re-run under this fixture to keep it
+    covered on hosts where the kernel loads.
+    """
+    monkeypatch.setattr(cache_module, "arena_batching_available", lambda: False)
 
 
 @pytest.fixture(scope="session")

@@ -39,6 +39,7 @@ from repro.sim import (
     TraceOptions,
     _native,
 )
+from repro.sim import cache as cache_module
 from repro.sim.memo import SimulationCache
 from repro.sim.simulator import SimulationFailure, SimulationResult
 from repro.sim.stats import SimulationStats
@@ -46,6 +47,8 @@ from repro.sim.stats import SimulationStats
 TRACE = TraceOptions(max_accesses=15_000)
 #: Runtime config of the unmemoized simulators compared below.
 NO_MEMO = RuntimeConfig(memoize=False)
+BATCHED = RuntimeConfig(memoize=False, runner_batch=True)
+PER_CANDIDATE = RuntimeConfig(memoize=False, runner_batch=False)
 
 
 @pytest.fixture(autouse=True)
@@ -162,7 +165,7 @@ class TestBatchSimulatorEquivalence:
         assert_bit_identical(batched, serial)
 
     def test_bit_identical_without_arena_batching(self, programs, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
+        monkeypatch.setattr(cache_module, "arena_batching_available", lambda: False)
         serial = [Simulator("arm", trace_options=TRACE, config=NO_MEMO).run(p) for p in programs]
         batched = BatchSimulator("arm", trace_options=TRACE, config=NO_MEMO).run_batch(programs)
         assert_bit_identical(batched, serial)
@@ -227,6 +230,11 @@ class TestBatchSimulatorEquivalence:
         assert other.sim_digest != serial.sim_digest
 
 
+@pytest.mark.usefixtures("per_chunk_route")
+class TestBatchSimulatorEquivalencePerChunk(TestBatchSimulatorEquivalence):
+    """The same bit-identity checks with descriptor streams on the per-chunk route."""
+
+
 # ---------------------------------------------------------------------------
 # Failure isolation inside a batch
 # ---------------------------------------------------------------------------
@@ -272,7 +280,7 @@ class TestBatchFailureIsolation:
         retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
         mixed = [programs[0], _BrokenProgram(), programs[1]]
         pool = SimulatorPool("arm", n_parallel=1, trace_options=TRACE, backend="serial",
-                             memoize=False, retry=retry)
+                             config=NO_MEMO.with_overrides(retry=retry))
         per_candidate = pool.run_many_resilient(mixed)
         batched = list(pool.iter_batch_resilient(mixed))
         for b, s in zip(batched, per_candidate):
@@ -337,11 +345,11 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         batched_runner = SimulatorRunner(
             "arm", trace_options=TRACE, score_function=running_mean_score(),
-            memoize=False, batch=True,
+            config=BATCHED,
         )
         serial_runner = SimulatorRunner(
             "arm", trace_options=TRACE, score_function=running_mean_score(),
-            memoize=False, batch=False,
+            config=PER_CANDIDATE,
         )
         batched = batched_runner.run(inputs, builds)
         serial = serial_runner.run(inputs, builds)
@@ -354,7 +362,7 @@ class TestRunnerBatchedEquivalence:
     def test_duplicate_fan_out_is_independent_and_marked_cached(self, task):
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False, batch=True)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=BATCHED)
         runner.run(inputs, builds)
         simulations = runner.simulation_results
         assert len(simulations) == len(inputs)
@@ -368,7 +376,7 @@ class TestRunnerBatchedEquivalence:
         builds = LocalBuilder().build(inputs)
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True,
+            "arm", trace_options=TRACE, config=BATCHED,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -384,7 +392,7 @@ class TestRunnerBatchedEquivalence:
         )
         seen = []
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True,
+            "arm", trace_options=TRACE, config=BATCHED,
             on_result=lambda position, mi, result: seen.append(position),
         )
         results = runner.run(inputs, builds)
@@ -397,7 +405,7 @@ class TestRunnerBatchedEquivalence:
         inputs = self._inputs_with_duplicates(task)
         builds = LocalBuilder().build(inputs)
         runner = SimulatorRunner(
-            "arm", trace_options=TRACE, memoize=False, batch=True, timeout_s=1e-9,
+            "arm", trace_options=TRACE, config=BATCHED, timeout_s=1e-9,
         )
         results = runner.run(inputs, builds)
         assert [r.error_no for r in results] == [MeasureErrorNo.RUN_TIMEOUT] * len(inputs)
@@ -409,6 +417,11 @@ class TestRunnerBatchedEquivalence:
         assert SimulatorRunner("arm", trace_options=TRACE).batch is True
 
 
+@pytest.mark.usefixtures("per_chunk_route")
+class TestRunnerBatchedEquivalencePerChunk(TestRunnerBatchedEquivalence):
+    """The same runner checks with descriptor streams on the per-chunk route."""
+
+
 class TestTunerTrajectory:
     @pytest.mark.parametrize("tuner_cls", [RandomTuner, GATuner])
     def test_fixed_seed_trajectory_is_identical(self, task, tuner_cls):
@@ -417,7 +430,7 @@ class TestTunerTrajectory:
             tuner = tuner_cls(task, seed=3)
             runner = SimulatorRunner(
                 "arm", trace_options=TRACE, score_function=running_mean_score(),
-                memoize=False, batch=batch,
+                config=BATCHED if batch else PER_CANDIDATE,
             )
             tuner.tune(n_trial=24, runner=runner, builder=LocalBuilder(), batch_size=8)
             trajectories.append(

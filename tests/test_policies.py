@@ -6,9 +6,8 @@ equivalence oracle.  This file pins the two policies that landed as pure
 registry additions — tree-PLRU and SRRIP — bit-identical across every
 execution layer: the vectorized NumPy engine (rank rounds and scalar
 chain tails), the native event kernel, the arena batch driver and the
-descriptor stream.  CI runs it under the full ``REPRO_SIM_NATIVE`` /
-``REPRO_SIM_ARENA`` matrix, so the same assertions cover the pure-Python
-fallbacks and the compiled fast paths.
+descriptor stream.  CI also runs it under ``REPRO_SIM_NATIVE=0``, so the
+same assertions cover the pure-Python fallbacks and the compiled fast paths.
 
 It also pins the registry contract itself: stable wire ids (they join the
 native ABI and the memoization key), geometry validation, and one memo
@@ -326,6 +325,11 @@ class TestHierarchyEquivalence:
         levels = simulator.hierarchy_config.levels()
         assert {level.replacement for level in levels.values()} == {"plru"}
         assert simulator.hierarchy_config.name.endswith("-plru")
+
+
+@pytest.mark.usefixtures("per_chunk_route")
+class TestHierarchyEquivalencePerChunk(TestHierarchyEquivalence):
+    """The same equivalences with descriptor streams on the per-chunk route."""
 
 
 class TestMemoKeys:

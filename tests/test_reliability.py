@@ -387,7 +387,7 @@ class TestResilientPool:
     @pytest.fixture(scope="class")
     def baseline(self, programs):
         faults.configure("")  # class fixtures resolve before the autouse shield
-        pool = SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        pool = SimulatorPool("arm", trace_options=TRACE, config=NO_MEMO)
         return [flat(r) for r in pool.run_many(programs)]
 
     @pytest.mark.parametrize(
@@ -398,7 +398,8 @@ class TestResilientPool:
         # even when a CI chaos leg exports an ambient profile.
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         pool = SimulatorPool(
-            "arm", n_parallel=n_parallel, backend=backend, trace_options=TRACE, memoize=False
+            "arm", n_parallel=n_parallel, backend=backend, trace_options=TRACE,
+            config=NO_MEMO,
         )
         outcomes = pool.run_many_resilient(programs)
         assert all(isinstance(o, SimulationResult) for o in outcomes)
@@ -406,7 +407,7 @@ class TestResilientPool:
 
     def test_serial_crash_contained_without_retry(self, programs):
         faults.configure("worker_crash:n=1", seed=7)
-        pool = SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        pool = SimulatorPool("arm", trace_options=TRACE, config=NO_MEMO)
         outcomes = pool.run_many_resilient(programs)
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
         assert len(failures) == 1
@@ -419,8 +420,9 @@ class TestResilientPool:
         pool = SimulatorPool(
             "arm",
             trace_options=TRACE,
-            memoize=False,
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.001),
+            config=NO_MEMO.with_overrides(
+                retry=RetryPolicy(max_attempts=3, base_delay_s=0.001)
+            ),
         )
         outcomes = pool.run_many_resilient(programs)
         assert all(isinstance(o, SimulationResult) for o in outcomes)
@@ -429,7 +431,7 @@ class TestResilientPool:
     def test_threads_crash_contained_per_program(self, programs):
         faults.configure("worker_crash:n=1", seed=3)
         pool = SimulatorPool(
-            "arm", n_parallel=3, backend="threads", trace_options=TRACE, memoize=False
+            "arm", n_parallel=3, backend="threads", trace_options=TRACE, config=NO_MEMO
         )
         outcomes = pool.run_many_resilient(programs)
         failures = [o for o in outcomes if isinstance(o, SimulationFailure)]
@@ -438,7 +440,8 @@ class TestResilientPool:
 
     def test_timeout_becomes_failure_record(self, programs):
         pool = SimulatorPool(
-            "arm", trace_options=SLOW_TRACE, memoize=False, timeout_s=1e-9
+            "arm", trace_options=SLOW_TRACE,
+            config=NO_MEMO.with_overrides(timeout_s=1e-9),
         )
         outcomes = pool.run_many_resilient(programs[:2])
         assert all(
@@ -459,8 +462,7 @@ class TestResilientPool:
             n_parallel=2,
             backend="processes",
             trace_options=TRACE,
-            memoize=False,
-            retry=RetryPolicy(max_attempts=1),
+            config=NO_MEMO.with_overrides(retry=RetryPolicy(max_attempts=1)),
             max_pool_respawns=0,
         )
         with pytest.warns(BackendDegradationWarning):
@@ -484,7 +486,7 @@ class TestResilientPool:
 class TestMeasureResilience:
     def test_crash_maps_to_worker_crash_error(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=NO_MEMO)
         results = measure_batch(LocalBuilder(), runner, matmul_inputs)
         assert len(results) == len(matmul_inputs)
         crashed = [r for r in results if r.error_no == MeasureErrorNo.WORKER_CRASH]
@@ -495,18 +497,18 @@ class TestMeasureResilience:
 
     def test_timeout_maps_to_run_timeout_without_poisoning(self, matmul_inputs):
         runner = SimulatorRunner(
-            "arm", trace_options=SLOW_TRACE, memoize=False, timeout_s=1e-9
+            "arm", trace_options=SLOW_TRACE, config=NO_MEMO, timeout_s=1e-9
         )
         results = measure_batch(LocalBuilder(), runner, matmul_inputs)
         assert all(r.error_no == MeasureErrorNo.RUN_TIMEOUT for r in results)
         # A later batch on a healthy runner is unaffected.
-        healthy = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        healthy = SimulatorRunner("arm", trace_options=TRACE, config=NO_MEMO)
         results = measure_batch(LocalBuilder(), healthy, matmul_inputs)
         assert all(r.ok for r in results)
 
     def test_measure_batch_retries_only_failed_slice(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
-        runner = SimulatorRunner("arm", trace_options=TRACE, memoize=False)
+        runner = SimulatorRunner("arm", trace_options=TRACE, config=NO_MEMO)
         results = measure_batch(
             LocalBuilder(),
             runner,
@@ -519,7 +521,7 @@ class TestMeasureResilience:
     def test_stats_collector_skips_failed_candidates(self, matmul_inputs):
         faults.configure("worker_crash:n=1", seed=7)
         board = TargetBoard("arm", trace_options=TRACE, seed=0)
-        collector = RunnerStatsCollector(board, trace_options=TRACE, memoize=False)
+        collector = RunnerStatsCollector(board, trace_options=TRACE, config=NO_MEMO)
         results = measure_batch(LocalBuilder(), collector, matmul_inputs)
         assert len(results) == len(matmul_inputs)
         assert sum(r.error_no == MeasureErrorNo.WORKER_CRASH for r in results) == 1
@@ -750,7 +752,7 @@ class TestChaosAcceptance:
 
         def run_batch(retry=None):
             runner = SimulatorRunner(
-                "arm", trace_options=TRACE, memoize=False, timeout_s=30.0
+                "arm", trace_options=TRACE, config=NO_MEMO, timeout_s=30.0
             )
             return measure_batch(builder, runner, inputs, retry=retry)
 

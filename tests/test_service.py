@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sqlite3
 import threading
 import time
@@ -24,10 +25,9 @@ import pytest
 
 import repro
 import repro.workloads  # noqa: F401 — registers the schedule templates
-from repro.autotune import LocalBuilder, MeasureInput, create_task
-from repro.autotune.runner import batched_measurement_default
+from repro.autotune import LocalBuilder, MeasureInput, SimulatorRunner, create_task
 from repro.codegen import Target
-from repro.reliability import RetryPolicy, faults
+from repro.reliability import NativeKernelDemotionWarning, RetryPolicy, faults
 from repro.service import (
     ResultStore,
     ServiceClient,
@@ -46,6 +46,7 @@ from repro.sim import (
     SimulatorPool,
     TraceOptions,
 )
+from repro.sim import _native
 from repro.sim.engine import resolve_engine, resolve_trace_mode
 from repro.sim.memo import _encode_entry, shared_disk_cache_dir
 from repro.sim.runtime_config import ENV_SURFACE
@@ -57,7 +58,6 @@ ALL_ENV_VARS = (
     "REPRO_SIM_ENGINE",
     "REPRO_SIM_TRACE",
     "REPRO_SIM_NATIVE",
-    "REPRO_SIM_ARENA",
     "REPRO_RUNNER_BATCH",
     "REPRO_SIM_MEMO_DIR",
     "REPRO_RETRY_ATTEMPTS",
@@ -261,7 +261,7 @@ ENV_CASES = [
     {},
     {"REPRO_SIM_ENGINE": "reference"},
     {"REPRO_SIM_TRACE": "expanded"},
-    {"REPRO_SIM_NATIVE": "0", "REPRO_SIM_ARENA": "0"},
+    {"REPRO_SIM_NATIVE": "0"},
     {"REPRO_RUNNER_BATCH": "off"},
     {
         "REPRO_RETRY_ATTEMPTS": "3",
@@ -285,9 +285,7 @@ class TestRuntimeConfig:
         assert config.resolved_engine() == resolve_engine(None)
         engine = config.resolved_engine()
         assert config.resolved_trace(engine) == resolve_trace_mode(None, engine)
-        assert config.resolved_native() == (env.get("REPRO_SIM_NATIVE") != "0")
-        assert config.resolved_arena() == (env.get("REPRO_SIM_ARENA") != "0")
-        assert config.resolved_runner_batch() == batched_measurement_default()
+        assert config.resolved_runner_batch() == (env.get("REPRO_RUNNER_BATCH") != "off")
         assert config.resolved_retry() == RetryPolicy.from_env()
         assert config.resolved_memo_dir() == str(shared_disk_cache_dir())
         assert config.resolved_memoize() is True
@@ -336,36 +334,58 @@ class TestRuntimeConfig:
         assert [row[0] for row in rows] == [name for name, _, _ in ENV_SURFACE]
         assert all(len(row) == 3 and all(row) for row in rows)
 
-    def test_apply_process_toggles(self, monkeypatch):
-        for name in ("REPRO_SIM_NATIVE", "REPRO_SIM_ARENA", "REPRO_RUNNER_BATCH"):
-            monkeypatch.delenv(name, raising=False)
-        import os
+    def test_removed_fields_are_rejected(self, monkeypatch):
+        """``arena`` and ``native`` are not settable; ``REPRO_SIM_NATIVE`` is
+        read once at kernel load and nothing writes it back."""
+        for field_name, value in (("arena", True), ("native", False)):
+            with pytest.raises(TypeError):
+                RuntimeConfig(**{field_name: value})
+            with pytest.raises(TypeError, match="unknown RuntimeConfig fields"):
+                RuntimeConfig().with_overrides(**{field_name: value})
+        monkeypatch.delenv("REPRO_SIM_NATIVE", raising=False)
+        RuntimeConfig.from_env().describe()
+        assert "REPRO_SIM_NATIVE" not in os.environ
 
-        RuntimeConfig(native=False, arena=True, runner_batch=False).apply_process_toggles()
-        assert os.environ["REPRO_SIM_NATIVE"] == "0"
-        assert os.environ["REPRO_SIM_ARENA"] == "1"
-        assert os.environ["REPRO_RUNNER_BATCH"] == "0"
+    def test_describe_reports_native_demotion(self):
+        """The ``native`` row reports whether the kernels are loaded, so a
+        runtime demotion shows as ``off`` whatever ``REPRO_SIM_NATIVE`` says."""
+
+        def native_row():
+            rows = RuntimeConfig.from_env().describe()
+            return {name: value for name, _, value in rows}["native"]
+
+        loaded = _native.descriptor_batch_kernel() is not None
+        assert native_row() == ("on" if loaded else "off")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NativeKernelDemotionWarning)
+                _native.demote("test-induced demotion")
+            assert native_row() == "off"
+        finally:
+            _native._reset_for_tests()
 
 
 # ---------------------------------------------------------------------------
-# Simulator config API (deprecation shim) and the repro.simulate facade
+# Simulator config API and the repro.simulate facade
 # ---------------------------------------------------------------------------
 
 
 class TestSimulatorConfigAPI:
-    def test_legacy_engine_kwarg_warns_but_works(self, programs):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            legacy = Simulator("arm", trace_options=TRACE, engine="reference")
-        assert legacy.engine == "reference"
-        modern = Simulator(
-            "arm", trace_options=TRACE, config=RuntimeConfig(engine="reference")
-        )
-        assert flat(legacy.run(programs[0])) == flat(modern.run(programs[0]))
+    def test_legacy_engine_kwarg_raises(self):
+        with pytest.raises(TypeError, match="engine"):
+            Simulator("arm", trace_options=TRACE, engine="reference")
+        with pytest.raises(TypeError, match="engine"):
+            SimulatorPool("arm", trace_options=TRACE, engine="reference")
+        with pytest.raises(TypeError, match="engine"):
+            SimulatorRunner("arm", trace_options=TRACE, engine="reference")
 
-    def test_legacy_memoize_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="memoize"):
-            simulator = Simulator("arm", trace_options=TRACE, memoize=False)
-        assert simulator.memoize is False
+    def test_legacy_memoize_kwarg_raises(self):
+        with pytest.raises(TypeError, match="memoize"):
+            Simulator("arm", trace_options=TRACE, memoize=False)
+        with pytest.raises(TypeError, match="memoize"):
+            SimulatorPool("arm", trace_options=TRACE, memoize=False)
+        with pytest.raises(TypeError, match="memoize"):
+            SimulatorRunner("arm", trace_options=TRACE, memoize=False)
 
     def test_config_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -586,7 +606,8 @@ class TestServiceHTTP:
             assert stats["worker"]["failures"] == 1
             # Parity with the local resilient API under the same profile.
             faults.configure("worker_crash:n=1", seed=7)
-            pool = SimulatorPool("arm", memoize=False, retry=RetryPolicy(max_attempts=1))
+            pool = SimulatorPool("arm", config=RuntimeConfig(
+                memoize=False, retry=RetryPolicy(max_attempts=1)))
             local = pool.run_many_resilient([big_programs[1]])[0]
             assert isinstance(local, SimulationFailure)
             assert failure.kind == local.kind

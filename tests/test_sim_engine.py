@@ -31,6 +31,7 @@ from repro.sim import (
     resolve_engine,
     victim_rank,
 )
+import repro.sim.cache as cache_module
 import repro.sim.engine as engine_module
 
 
@@ -600,7 +601,7 @@ class TestMemoization:
             n_parallel=2,
             trace_options=options,
             backend="processes",
-            memo_dir=str(tmp_path),
+            config=RuntimeConfig(memo_dir=str(tmp_path)),
         )
         first = pool.run_many([conv_program_x86, conv_program_x86])
         assert list(tmp_path.glob("*.json")), "workers should persist results to disk"
@@ -611,7 +612,7 @@ class TestMemoization:
             n_parallel=2,
             trace_options=options,
             backend="processes",
-            memo_dir=str(tmp_path),
+            config=RuntimeConfig(memo_dir=str(tmp_path)),
         ).run_many([conv_program_x86])
         assert second[0].cached
         left = first[0].flat_stats()
@@ -650,8 +651,8 @@ class TestArenaBatching:
     foreign call per cache level and forwards the combined miss stream to
     the next level in one batch; every statistic must match both the
     per-chunk descriptor path and the reference per-access loop, for every
-    replacement policy, across the ``REPRO_SIM_ARENA`` toggle and the
-    no-kernel fallback.
+    replacement policy, with the batch kernel and in the per-chunk
+    fallback taken without it.
     """
 
     TINY = CacheHierarchyConfig(
@@ -662,13 +663,15 @@ class TestArenaBatching:
     )
 
     def _flat(self, program, monkeypatch, arena, engine=ENGINE_VECTORIZED, rng_seed=0):
-        monkeypatch.setenv("REPRO_SIM_ARENA", "1" if arena else "0")
-        simulator = Simulator(
-            "x86",
-            trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-            config=RuntimeConfig(engine=engine, memoize=False),
-        )
-        stats = simulator.run(program).flat_stats()
+        with monkeypatch.context() as patch:
+            if not arena:
+                patch.setattr(cache_module, "arena_batching_available", lambda: False)
+            simulator = Simulator(
+                "x86",
+                trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
+                config=RuntimeConfig(engine=engine, memoize=False),
+            )
+            stats = simulator.run(program).flat_stats()
         stats.pop("sim.host_seconds")
         return stats
 
@@ -703,8 +706,6 @@ class TestArenaBatching:
 
     def test_stream_groups_multiple_arenas(self, conv_program_x86, monkeypatch):
         """Tiny group bounds force several flushes; results cannot change."""
-        import repro.sim.cache as cache_module
-
         chunks = list(
             conv_program_x86.memory_trace_descriptors(
                 chunk_iterations=256, max_accesses=20_000
@@ -720,8 +721,6 @@ class TestArenaBatching:
         assert grouped.stats_dict() == baseline.stats_dict()
 
     def test_stream_falls_back_without_kernel(self, conv_program_x86, monkeypatch):
-        import repro.sim.cache as cache_module
-
         chunks = list(
             conv_program_x86.memory_trace_descriptors(
                 chunk_iterations=512, max_accesses=10_000
@@ -735,20 +734,16 @@ class TestArenaBatching:
         native.access_data_descriptor_stream(chunks)
         assert fallback.stats_dict() == native.stats_dict()
 
-    def test_env_toggle_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ARENA", raising=False)
-        assert engine_module.arena_batching_enabled()
-        monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-        assert not engine_module.arena_batching_enabled()
-        assert not engine_module.arena_batching_available()
-        monkeypatch.setenv("REPRO_SIM_ARENA", "1")
-        assert engine_module.arena_batching_enabled()
+    def test_env_toggle_resolution(self):
+        """Arena batching is available exactly when the batch kernel loaded."""
+        assert engine_module.arena_batching_available() is (
+            engine_module.descriptor_batch_kernel() is not None
+        )
 
     def test_random_policy_arena_equivalence(self, conv_program_x86, monkeypatch):
         """The replayable victim stream survives arena batching, per seed."""
         for rng_seed in (0, 5):
             hierarchy = hierarchy_with_replacement("x86", ReplacementPolicy.RANDOM)
-            monkeypatch.setenv("REPRO_SIM_ARENA", "1")
             simulator = Simulator(
                 "x86",
                 hierarchy_config=hierarchy,
@@ -757,14 +752,15 @@ class TestArenaBatching:
             )
             batched = simulator.run(conv_program_x86).flat_stats()
             batched.pop("sim.host_seconds")
-            monkeypatch.setenv("REPRO_SIM_ARENA", "0")
-            per_chunk_sim = Simulator(
-                "x86",
-                hierarchy_config=hierarchy,
-                trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
-                config=RuntimeConfig(memoize=False),
-            )
-            per_chunk = per_chunk_sim.run(conv_program_x86).flat_stats()
+            with monkeypatch.context() as patch:
+                patch.setattr(cache_module, "arena_batching_available", lambda: False)
+                per_chunk_sim = Simulator(
+                    "x86",
+                    hierarchy_config=hierarchy,
+                    trace_options=TraceOptions(max_accesses=30_000, rng_seed=rng_seed),
+                    config=RuntimeConfig(memoize=False),
+                )
+                per_chunk = per_chunk_sim.run(conv_program_x86).flat_stats()
             per_chunk.pop("sim.host_seconds")
             assert batched == per_chunk
 
