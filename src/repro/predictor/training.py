@@ -243,18 +243,18 @@ class ScorePredictor:
             raise ValueError("predict_dataset expects samples of a single group")
         group_id = group_ids.pop()
 
-        if window == "known":
-            if group_id not in self.group_statistics:
-                raise KeyError(f"group {group_id} was not part of the training data")
-            means = self.group_statistics[group_id].feature_means
-            return np.asarray(
-                [self.predict_with_means(s.flat_stats, means) for s in samples]
-            )
-        if window == "exact":
-            means = self.extractor.group_means([s.flat_stats for s in samples])
-            return np.asarray(
-                [self.predict_with_means(s.flat_stats, means) for s in samples]
-            )
+        if window in ("known", "exact"):
+            if window == "known":
+                if group_id not in self.group_statistics:
+                    raise KeyError(f"group {group_id} was not part of the training data")
+                means = self.group_statistics[group_id].feature_means
+            else:
+                means = self.extractor.group_means([s.flat_stats for s in samples])
+            if not self.fitted:
+                raise RuntimeError("the predictor has not been trained")
+            # The means are fixed, so every sample is scored in one model call.
+            vectors = [self.extractor.vector(s.flat_stats, means) for s in samples]
+            return np.asarray(self.model.predict(np.asarray(vectors)), dtype=float)
         if window == "static":
             estimator = StaticWindow(self.extractor, window_size=window_size)
         elif window == "dynamic":

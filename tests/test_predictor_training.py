@@ -80,6 +80,33 @@ class TestScorePredictor:
             assert scores.shape == (len(samples),)
             assert np.isfinite(scores).all()
 
+    @pytest.mark.parametrize("model_name", ["linreg", "xgboost"])
+    @pytest.mark.parametrize("window", ["exact", "known"])
+    def test_fixed_mean_windows_score_in_one_batch(self, tiny_dataset, model_name, window):
+        """One ``model.predict`` call gives the per-sample ``predict_with_means`` scores.
+
+        Tree walks are row by row, so the xgboost scores are bit-identical; a
+        BLAS product may block a batch differently from a single row, so the
+        linear scores may move in the last bits.
+        """
+        predictor = ScorePredictor(model_name, seed=0).fit(tiny_dataset)
+        samples = tiny_dataset.group(1)
+        if window == "known":
+            means = predictor.group_statistics[1].feature_means
+        else:
+            means = predictor.extractor.group_means([s.flat_stats for s in samples])
+        calls = []
+        predict = predictor.model.predict
+        predictor.model.predict = lambda features: calls.append(len(features)) or predict(features)
+        scores = predictor.predict_dataset(samples, window=window)
+        assert calls == [len(samples)]
+        per_sample = [predictor.predict_with_means(s.flat_stats, means) for s in samples]
+        if model_name == "xgboost":
+            assert np.array_equal(scores, per_sample)
+        else:
+            tolerance = 1e3 * np.finfo(float).eps
+            np.testing.assert_allclose(scores, per_sample, rtol=tolerance, atol=tolerance)
+
     def test_known_window_requires_trained_group(self, tiny_dataset):
         train = tiny_dataset.exclude_groups([2])
         predictor = ScorePredictor("linreg").fit(train)
